@@ -373,7 +373,7 @@ module Circuit_sim = Sunflow_sim.Circuit_sim
 module Sim_result = Sunflow_sim.Sim_result
 
 let replay_equiv ?policy ?order ?carry_circuits ?buckets ?bucket_base ?shards
-    ?shard_block ?plan_cache ~delta ~bandwidth coflows =
+    ?shard_block ~delta ~bandwidth coflows =
   let capture replan =
     let slices = ref [] in
     let on_slice ~t ~t_next ~established ~coflows:_ (plan : Inter.result) =
@@ -381,12 +381,11 @@ let replay_equiv ?policy ?order ?carry_circuits ?buckets ?bucket_base ?shards
     in
     (* [shards] reaches both runs, but [`Rebuild] coerces it to 1 — so
        with [shards > 1] this compares the sharded incremental engine
-       against the unsharded from-scratch oracle, the strongest form of
+       against the one-table from-scratch oracle, the strongest form of
        the bit-identity requirement *)
     let r =
       Circuit_sim.run ?policy ?order ?carry_circuits ?buckets ?bucket_base
-        ?shards ?shard_block ?plan_cache ~replan ~on_slice ~delta ~bandwidth
-        coflows
+        ?shards ?shard_block ~replan ~on_slice ~delta ~bandwidth coflows
     in
     (r, List.rev !slices)
   in

@@ -16,8 +16,8 @@ val create : unit -> t
 
 val of_list : ((int * int) * float) list -> t
 (** Build from [((src, dst), bytes)] pairs. Pairs with non-positive
-    bytes are dropped; duplicate keys accumulate. Negative port ids
-    raise [Invalid_argument]. *)
+    bytes are dropped; duplicate keys accumulate. Negative port ids and
+    non-finite byte counts raise [Invalid_argument]. *)
 
 val copy : t -> t
 
@@ -25,10 +25,12 @@ val get : t -> int -> int -> float
 (** Bytes remaining from [src] to [dst] ([0.] if absent). *)
 
 val set : t -> int -> int -> float -> unit
-(** Overwrite one entry; a non-positive value removes it. *)
+(** Overwrite one entry; a non-positive value removes it. Raises
+    [Invalid_argument] on a non-finite value. *)
 
 val add : t -> int -> int -> float -> unit
-(** Accumulate bytes onto one entry. *)
+(** Accumulate bytes onto one entry. Raises [Invalid_argument] when
+    the value or the sum is non-finite. *)
 
 val drain : t -> int -> int -> float -> unit
 (** [drain d i j b] removes up to [b] bytes from entry [(i, j)],

@@ -47,7 +47,7 @@ let m_rounds = Obs.Registry.counter "inter.rounds"
 let h_batch = Obs.Registry.histogram "inter.coflows_per_round"
 
 let schedule ?(now = 0.) ?(order = Order.Ordered_port) ?(established = [])
-    ?plan_cache ~policy ~delta ~bandwidth coflows =
+    ~policy ~delta ~bandwidth coflows =
   (* [finish_of] keys the result on Coflow ids, so duplicates would
      silently shadow one another — reject them like Circuit_sim.run *)
   let ids = List.map (fun c -> c.Coflow.id) coflows in
@@ -73,7 +73,7 @@ let schedule ?(now = 0.) ?(order = Order.Ordered_port) ?(established = [])
     List.map
       (fun c ->
         let r =
-          Sunflow.schedule ~prt ?cache:plan_cache ~now ~order
+          Sunflow.schedule ~prt ~now ~order
             ~established:is_established ~delta ~bandwidth c
         in
         (c.Coflow.id, r))
@@ -113,13 +113,14 @@ type entry = {
   e_bucket : int;  (* quantized priority class; 0 when buckets are off *)
   e_shards : int array;
       (* sorted distinct shards of the original demand footprint;
-         [[||]] in unsharded engines (never consulted there) *)
+         [[|0|]] in a one-shard engine *)
   mutable e_plan : Sunflow.result;
 }
 
-(* a sorted vector of entries — the same layout as [g_entries], one per
-   shard plus one for cross-shard Coflows, so a shard pass walks only
-   its own entries *)
+(* a vector of entries sorted by the engine's service order: the global
+   order, plus one per shard and one for cross-shard Coflows, so a shard
+   pass walks only its own entries. With one shard, the shard vector is
+   the global order itself. *)
 type evec = { mutable v_arr : entry array; mutable v_n : int }
 
 type pass_runner = { run_passes : 'a. (unit -> 'a) array -> 'a array }
@@ -133,26 +134,22 @@ type engine = {
   g_bandwidth : float;
   g_carry : bool;
   g_rebuild : bool;
-  g_cache : Plan_cache.t option;  (* plan cache threaded to every Sunflow call *)
   g_buckets : int;  (* 0 = exact order (buckets off) *)
   g_bucket_base : float;
   g_cmp : entry -> entry -> int;
-  mutable g_entries : entry array;  (* active Coflows in service order *)
-  mutable g_n : int;
-  mutable g_prt : Prt.t;
+  g_all : evec;  (* active Coflows in service order *)
   mutable g_established : (int * int) list;
   g_index : (int, entry) Hashtbl.t;
   mutable g_rescheduled : int;  (* suffix entries re-run through Sunflow *)
   mutable g_spliced : int;  (* suffix entries whose stored plan was kept *)
-  (* --- sharded mode (g_shards > 1) --- *)
-  g_shards : int;  (* port-group shard count; 1 = unsharded *)
+  g_shards : int;  (* port-group shard count *)
   g_shard_block : int;  (* contiguous ports per shard stripe *)
   g_runner : pass_runner;  (* executes independent shard passes *)
-  g_sprt : Prt.t array;  (* per-shard tables; [[||]] when unsharded *)
-  g_slocal : evec array;  (* per-shard single-shard entries *)
-  g_scross : evec;  (* entries whose footprint spans shards *)
-  g_smin : float array;  (* cached min finish per vec; slot [g_shards] = cross *)
-  g_smin_stale : bool array;
+  g_prt : Prt.t array;  (* per-shard tables; one shard: the engine's table *)
+  g_local : evec array;  (* per-shard single-shard entries; one shard: [g_all] *)
+  g_cross : evec;  (* entries whose footprint spans shards *)
+  g_min : float array;  (* cached min finish per vec; slot [g_shards] = cross *)
+  g_min_stale : bool array;
   mutable g_ssteps : int;  (* sharded scheduling events *)
   mutable g_sconflicts : int;  (* events resolved by the cross-shard pass *)
   mutable g_srollbacks : int;  (* optimistic shard passes rolled back *)
@@ -219,16 +216,17 @@ let evec_make () = { v_arr = [||]; v_n = 0 }
 
 let engine ?(order = Order.Ordered_port) ?(carry_circuits = true)
     ?(rebuild = false) ?(buckets = 0) ?(bucket_base = 4.) ?(shards = 1)
-    ?(shard_block = 1) ?(runner = sequential_runner) ?plan_cache ~policy ~delta
-    ~bandwidth () =
+    ?(shard_block = 1) ?(runner = sequential_runner) ~policy ~delta ~bandwidth
+    () =
   if buckets < 0 then invalid_arg "Inter.engine: negative bucket count";
   if bucket_base <= 1. then invalid_arg "Inter.engine: bucket_base must be > 1";
   if shards < 1 then invalid_arg "Inter.engine: shards must be >= 1";
   if shard_block < 1 then invalid_arg "Inter.engine: shard_block must be >= 1";
   (* rebuild is the inherently global from-scratch oracle: coerce it to
      one shard so [replay_equiv] always compares a sharded incremental
-     run against the unsharded decision procedure *)
+     run against the one-table decision procedure *)
   let shards = if rebuild then 1 else shards in
+  let all = evec_make () in
   {
     g_policy = policy;
     g_order = order;
@@ -236,13 +234,10 @@ let engine ?(order = Order.Ordered_port) ?(carry_circuits = true)
     g_bandwidth = bandwidth;
     g_carry = carry_circuits;
     g_rebuild = rebuild;
-    g_cache = plan_cache;
     g_buckets = buckets;
     g_bucket_base = bucket_base;
     g_cmp = entry_cmp ~buckets policy;
-    g_entries = [||];
-    g_n = 0;
-    g_prt = Prt.create ();
+    g_all = all;
     g_established = [];
     g_index = Hashtbl.create 64;
     g_rescheduled = 0;
@@ -250,19 +245,18 @@ let engine ?(order = Order.Ordered_port) ?(carry_circuits = true)
     g_shards = shards;
     g_shard_block = shard_block;
     g_runner = runner;
-    g_sprt =
-      (if shards > 1 then Array.init shards (fun _ -> Prt.create ()) else [||]);
-    g_slocal =
-      (if shards > 1 then Array.init shards (fun _ -> evec_make ()) else [||]);
-    g_scross = evec_make ();
-    g_smin = Array.make (shards + 1) infinity;
-    g_smin_stale = Array.make (shards + 1) true;
+    g_prt = Array.init shards (fun _ -> Prt.create ());
+    g_local =
+      (if shards > 1 then Array.init shards (fun _ -> evec_make ()) else [| all |]);
+    g_cross = evec_make ();
+    g_min = Array.make (shards + 1) infinity;
+    g_min_stale = Array.make (shards + 1) true;
     g_ssteps = 0;
     g_sconflicts = 0;
     g_srollbacks = 0;
   }
 
-(* filler for unused [g_entries] slots, so spare capacity and vacated
+(* filler for unused vector slots, so spare capacity and vacated
    positions never pin a retired Coflow (and its demand matrix) against
    the GC. Lazy because building it needs a Coflow. *)
 let dummy_entry =
@@ -276,43 +270,7 @@ let dummy_entry =
     }
 
 (* first index whose entry sorts at or after [e] *)
-let lower_bound g e =
-  let lo = ref 0 and hi = ref g.g_n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if g.g_cmp g.g_entries.(mid) e < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let insert_entry g e =
-  let k = lower_bound g e in
-  let cap = Array.length g.g_entries in
-  if g.g_n = cap then begin
-    let arr = Array.make (max 8 (2 * cap)) (Lazy.force dummy_entry) in
-    Array.blit g.g_entries 0 arr 0 g.g_n;
-    g.g_entries <- arr
-  end;
-  Array.blit g.g_entries k g.g_entries (k + 1) (g.g_n - k);
-  g.g_entries.(k) <- e;
-  g.g_n <- g.g_n + 1
-
-let remove_entry g e =
-  let k = lower_bound g e in
-  (* unconditional (must survive [-noassert]): an inconsistent [Custom]
-     comparator — one whose answers changed since this entry was
-     inserted — sends the binary search to the wrong position, and a
-     blind blit from there would silently corrupt the service order *)
-  if not (k < g.g_n && g.g_entries.(k) == e) then
-    invalid_arg
-      "Inter.remove_entry: entry not found at its ordered position \
-       (inconsistent comparator?)";
-  Array.blit g.g_entries (k + 1) g.g_entries k (g.g_n - k - 1);
-  g.g_n <- g.g_n - 1;
-  (* clear the vacated slot — same GC-pinning concern as growth *)
-  g.g_entries.(g.g_n) <- Lazy.force dummy_entry
-
-(* the same ordered insert/remove over a shard's entry vector *)
-let evec_lower cmp v e =
+let lower_bound cmp v e =
   let lo = ref 0 and hi = ref v.v_n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -320,8 +278,8 @@ let evec_lower cmp v e =
   done;
   !lo
 
-let evec_insert cmp v e =
-  let k = evec_lower cmp v e in
+let insert_entry cmp v e =
+  let k = lower_bound cmp v e in
   let cap = Array.length v.v_arr in
   if v.v_n = cap then begin
     let arr = Array.make (max 8 (2 * cap)) (Lazy.force dummy_entry) in
@@ -332,19 +290,26 @@ let evec_insert cmp v e =
   v.v_arr.(k) <- e;
   v.v_n <- v.v_n + 1
 
-let evec_remove cmp v e =
-  let k = evec_lower cmp v e in
+let remove_entry cmp v e =
+  let k = lower_bound cmp v e in
+  (* unconditional (must survive [-noassert]): an inconsistent [Custom]
+     comparator — one whose answers changed since this entry was
+     inserted — sends the binary search to the wrong position, and a
+     blind blit from there would silently corrupt the service order *)
   if not (k < v.v_n && v.v_arr.(k) == e) then
     invalid_arg
-      "Inter.evec_remove: entry not found at its ordered position \
+      "Inter.remove_entry: entry not found at its ordered position \
        (inconsistent comparator?)";
   Array.blit v.v_arr (k + 1) v.v_arr k (v.v_n - k - 1);
   v.v_n <- v.v_n - 1;
+  (* clear the vacated slot — same GC-pinning concern as growth *)
   v.v_arr.(v.v_n) <- Lazy.force dummy_entry
 
 (* contiguous [shard_block]-wide port stripes, round-robin over shards —
    pod-aligned when [shard_block] matches the pod size *)
 let shard_of g p = p / g.g_shard_block mod g.g_shards
+
+let one_shard = [| 0 |]
 
 (* distinct shards of a Coflow's original demand footprint, sorted.
    Fixed at admission like the priority key: remaining demand only ever
@@ -352,30 +317,51 @@ let shard_of g p = p / g.g_shard_block mod g.g_shards
    this set. An empty demand pins the (instantly complete) Coflow to
    shard 0. *)
 let coflow_shards g c =
-  let d = c.Coflow.demand in
-  let ss =
-    List.rev_append
-      (List.map (shard_of g) (Demand.senders d))
-      (List.map (shard_of g) (Demand.receivers d))
-    |> List.sort_uniq compare
-  in
-  match ss with [] -> [| 0 |] | l -> Array.of_list l
+  if g.g_shards = 1 then one_shard
+  else
+    let d = c.Coflow.demand in
+    let ss =
+      List.rev_append
+        (List.map (shard_of g) (Demand.senders d))
+        (List.map (shard_of g) (Demand.receivers d))
+      |> List.sort_uniq compare
+    in
+    match ss with [] -> one_shard | l -> Array.of_list l
 
-let entry_vec g e =
-  if Array.length e.e_shards > 1 then (g.g_scross, g.g_shards)
-  else (g.g_slocal.(e.e_shards.(0)), e.e_shards.(0))
+(* the [g_min] slot of the shard vector holding [e], and that vector *)
+let vec_slot g e =
+  if Array.length e.e_shards > 1 then g.g_shards else e.e_shards.(0)
 
-let refresh_smin g i v =
-  if g.g_smin_stale.(i) then begin
+let slot_vec g slot = if slot = g.g_shards then g.g_cross else g.g_local.(slot)
+
+(* enter [e] into the service order and its shard vector (the same
+   vector when there is one shard) *)
+let admit_entry g e =
+  insert_entry g.g_cmp g.g_all e;
+  let slot = vec_slot g e in
+  let v = slot_vec g slot in
+  if v != g.g_all then insert_entry g.g_cmp v e;
+  g.g_min_stale.(slot) <- true
+
+let retire_entry g e =
+  remove_entry g.g_cmp g.g_all e;
+  let slot = vec_slot g e in
+  let v = slot_vec g slot in
+  if v != g.g_all then remove_entry g.g_cmp v e;
+  g.g_min_stale.(slot) <- true
+
+let refresh_min g slot =
+  if g.g_min_stale.(slot) then begin
+    let v = slot_vec g slot in
     let m = ref infinity in
     for k = 0 to v.v_n - 1 do
       m := Float.min !m v.v_arr.(k).e_plan.Sunflow.finish
     done;
-    g.g_smin.(i) <- !m;
-    g.g_smin_stale.(i) <- false
+    g.g_min.(slot) <- !m;
+    g.g_min_stale.(slot) <- false
   end
 
-let engine_size g = g.g_n
+let engine_size g = g.g_all.v_n
 let engine_established g = g.g_established
 
 let engine_finish g id =
@@ -383,23 +369,15 @@ let engine_finish g id =
   | Some e -> Some e.e_plan.Sunflow.finish
   | None -> None
 
+(* folds the cached per-vec minima instead of walking every entry;
+   [Float.min] is exact, so the value does not depend on the shard count *)
 let engine_min_finish g =
-  if g.g_n = 0 then None
-  else if g.g_shards > 1 then begin
-    (* fold the cached per-vec minima instead of walking every entry;
-       [Float.min] is exact, so the value is the unsharded one *)
-    for s = 0 to g.g_shards - 1 do
-      refresh_smin g s g.g_slocal.(s)
-    done;
-    refresh_smin g g.g_shards g.g_scross;
-    let m = ref infinity in
-    Array.iter (fun v -> m := Float.min !m v) g.g_smin;
-    Some !m
-  end
+  if g.g_all.v_n = 0 then None
   else begin
-    let m = ref g.g_entries.(0).e_plan.Sunflow.finish in
-    for i = 1 to g.g_n - 1 do
-      m := Float.min !m g.g_entries.(i).e_plan.Sunflow.finish
+    let m = ref infinity in
+    for slot = 0 to g.g_shards do
+      refresh_min g slot;
+      m := Float.min !m g.g_min.(slot)
     done;
     Some !m
   end
@@ -409,9 +387,7 @@ let engine_spliced g = g.g_spliced
 let engine_shards g = g.g_shards
 
 let engine_journal_length g =
-  if g.g_shards > 1 then
-    Array.fold_left (fun acc p -> acc + Prt.journal_length p) 0 g.g_sprt
-  else Prt.journal_length g.g_prt
+  Array.fold_left (fun acc p -> acc + Prt.journal_length p) 0 g.g_prt
 
 type shard_stats = {
   shard_steps : int;
@@ -434,66 +410,422 @@ let m_sh_rollbacks = Obs.Registry.counter "sim.shard.rollbacks"
 let m_sh_dirty = Obs.Registry.counter "inter.shard.dirty_shards"
 let h_sh_rollback = Obs.Registry.histogram "sim.shard.rollback_s"
 
-let step_unsharded g ~now ~arrivals ~finished ~remaining =
+(* --- one repair pass ---------------------------------------------------
+
+   Ports are striped over S shards (S = 1 unless [shards] asks for
+   more); each shard owns a [Prt] holding every window with an endpoint
+   in the shard (a cross-shard Coflow's window is mirrored into both
+   endpoint shards, so every shard table is complete for its own
+   ports). A Coflow whose whole footprint maps to one shard lives in
+   that shard's entry vector. Per event, each shard with dirty entries
+   runs [repair] over its own vector against its own table:
+   [Sunflow.schedule] reads and writes only the ports of the Coflow's
+   own demand, and those ports all belong to the shard, so the pass
+   sees exactly the state a walk of the global order over one table
+   would show it, however the passes interleave. The passes are
+   independent (disjoint ports, disjoint entries) and run through
+   [g_runner] — sequentially by default, on a domain pool when one is
+   plugged in. With one shard there is exactly one pass, over the
+   global order, against the engine's only table.
+
+   Cross-shard Coflows break the independence, so they are handled
+   pessimistically-correct: a pass that would evict a cross-shard
+   owner's window aborts ([Cross_conflict]), every pass of the event is
+   rolled back (stored plans restored; the shard tables are rebuilt
+   from the plans), and the event is re-resolved by one pass over the
+   closure of affected shards — Time-Warp's optimistic execution with a
+   deterministic arbiter. A dirty cross-shard entry skips the
+   optimistic round entirely. Either way the decisions are those of
+   one pass over one table, bit for bit. *)
+
+exception Cross_conflict
+
+type pass = {
+  p_old : (entry * Sunflow.result) list;  (* replaced plans, for rollback *)
+  p_rescheduled : int;
+  p_spliced : int;
+  p_cascades : int;
+  p_conflict : bool;  (* aborted by [guard]: every plan change is undone *)
+}
+
+(* [e]'s plan re-run at [now] on its remaining demand against [prt] *)
+let replan g ~prt ~now ~remaining ~is_established e =
+  let c = Coflow.with_demand e.e_coflow (remaining e.e_coflow.Coflow.id) in
+  Sunflow.schedule ~prt ~now ~order:g.g_order ~established:is_established
+    ~delta:g.g_delta ~bandwidth:g.g_bandwidth c
+
+(* The repair pass over the entries [iter] visits, in service order,
+   against [prt] — the only repair procedure of the incremental engine.
+
+   Exact order ([buckets = 0]): every visited entry is dirty (the step
+   marks the whole suffix from the first dirty position — anchored
+   plans re-round at the ulp scale when re-derived at a different
+   [now], so a clean suffix entry cannot keep its plan without
+   diverging from the oracle). The range's windows are retracted by
+   owner up front, then every entry is re-run in order.
+
+   Bucketed order: lazy damage-bounded repair. A dirty entry, at its
+   turn in priority order, clears every later-priority window from the
+   ports its planner can touch (the senders/receivers of its remaining
+   demand), recording the evicted windows per owner, then reschedules.
+   An evicted ("touched") clean entry re-admits its evicted windows
+   verbatim at its own turn when they all still fit exactly, and
+   re-plans otherwise; a clean entry nobody touched keeps its plan at
+   zero cost. This matches the rebuild oracle's decisions bit for bit:
+   [Sunflow.schedule] reads and writes only the ports of the Coflow's
+   own demand ([probe] / [next_release_on_ports] take explicit ports),
+   so each rescheduled entry sees, on every port it queries, exactly
+   the prefix plus already-processed suffix — the rebuild table's
+   content at the same turn. Windows never evicted sit on ports no new
+   window lands on, and the old windows were mutually disjoint, so
+   they would pass the oracle's fit test unconditionally; evicted
+   windows are tested against table content identical on their ports.
+   The fit-failure sets therefore coincide, and so do the plans.
+   [guard] is consulted before any eviction (shard passes raise
+   [Cross_conflict] on a cross-shard owner).
+
+   Neither mode rolls the table back, so the caller drops its undo log
+   after the step. *)
+let repair g ~prt ~now ~remaining ~is_established ~dirty ~guard iter =
+  let old = ref [] in
+  let resched = ref 0 and spliced = ref 0 and cascades = ref 0 in
+  let reschedule e =
+    old := (e, e.e_plan) :: !old;
+    e.e_plan <- replan g ~prt ~now ~remaining ~is_established e;
+    incr resched
+  in
+  let conflict =
+    if g.g_buckets = 0 then begin
+      iter (fun e -> ignore (Prt.retract_coflow prt e.e_coflow.Coflow.id : int));
+      iter reschedule;
+      false
+    end
+    else begin
+      let touched : (int, Prt.reservation list ref) Hashtbl.t =
+        Hashtbl.create 16
+      in
+      let ports_cleared : (Prt.port, unit) Hashtbl.t = Hashtbl.create 16 in
+      let clear_demand_ports e d =
+        let clear_port p =
+          if not (Hashtbl.mem ports_cleared p) then begin
+            Hashtbl.replace ports_cleared p ();
+            List.iter
+              (fun r ->
+                match Hashtbl.find_opt g.g_index r.Prt.coflow with
+                | Some o when g.g_cmp e o < 0 ->
+                  guard o;
+                  (* [remove] is false when the window was already
+                     evicted through its other port — record once *)
+                  if Prt.remove prt r then begin
+                    let l =
+                      match Hashtbl.find_opt touched r.Prt.coflow with
+                      | Some l -> l
+                      | None ->
+                        let l = ref [] in
+                        Hashtbl.replace touched r.Prt.coflow l;
+                        l
+                    in
+                    l := r :: !l
+                  end
+                | _ -> ())
+              (Prt.port_reservations prt p)
+          end
+        in
+        List.iter (fun p -> clear_port (Prt.In p)) (Demand.senders d);
+        List.iter (fun p -> clear_port (Prt.Out p)) (Demand.receivers d)
+      in
+      let rerun e id =
+        ignore (Prt.retract_coflow prt id : int);
+        clear_demand_ports e (remaining id);
+        reschedule e
+      in
+      let process e =
+        let id = e.e_coflow.Coflow.id in
+        if Hashtbl.mem dirty id then begin
+          Hashtbl.remove touched id;
+          rerun e id
+        end
+        else
+          match Hashtbl.find_opt touched id with
+          | None -> incr spliced
+          | Some l ->
+            Hashtbl.remove touched id;
+            if Prt.splice_exact prt !l then incr spliced
+            else begin
+              incr cascades;
+              rerun e id
+            end
+      in
+      try
+        iter process;
+        false
+      with Cross_conflict -> true
+    end
+  in
+  {
+    p_old = !old;
+    p_rescheduled = !resched;
+    p_spliced = !spliced;
+    p_cascades = !cascades;
+    p_conflict = conflict;
+  }
+
+let tally g ~obs p =
+  g.g_rescheduled <- g.g_rescheduled + p.p_rescheduled;
+  g.g_spliced <- g.g_spliced + p.p_spliced;
+  if obs && p.p_cascades > 0 then Obs.Registry.add m_cascades p.p_cascades
+
+(* entries of [v] from position [k] on, in order *)
+let iter_from v k f =
+  for i = k to v.v_n - 1 do
+    f v.v_arr.(i)
+  done
+
+(* position of [v]'s first dirty entry ([v.v_n] if none) — a scan of
+   hash lookups rather than a binary search, so a costly [Custom]
+   comparator is never called *)
+let first_dirty dirty v =
+  let rec go i =
+    if i >= v.v_n || Hashtbl.mem dirty v.v_arr.(i).e_coflow.Coflow.id then i
+    else go (i + 1)
+  in
+  go 0
+
+(* The [rebuild] oracle (one shard): identical decisions recomputed
+   from scratch — a fresh table holding the retained prefix's stored
+   windows, then the suffix from position [k] in priority order. A dirty
+   entry is re-run. A clean one (bucketed orders only) may have seen
+   its table prefix change, but only by entries in other classes:
+   splice its stored plan back verbatim when every window still fits
+   with zero overlap, and re-run it otherwise. The whole plan is
+   re-derived rather than patched around the surviving windows: a
+   merged plan would break non-preemption (a kept split-window whose
+   blocking neighbour moved ends with demand left and nothing occupying
+   its port) and double-count circuit setups. The fit test must be
+   exact, not [reserve]'s dust-tolerant one: a rescheduled upstream
+   neighbour can land within rounding dust of a stored boundary, and
+   re-admitting that would break the validator's strict per-port
+   disjointness — [Prt.splice_exact] is exactly that
+   check-all-then-reserve-all primitive. *)
+let rebuild g ~obs ~now ~remaining ~is_established ~dirty k =
+  let prt = Prt.create () in
+  g.g_prt.(0) <- prt;
+  let v = g.g_all in
+  for i = 0 to k - 1 do
+    List.iter (Prt.reserve prt) v.v_arr.(i).e_plan.Sunflow.reservations
+  done;
+  for i = k to v.v_n - 1 do
+    let e = v.v_arr.(i) in
+    let rerun () =
+      e.e_plan <- replan g ~prt ~now ~remaining ~is_established e;
+      g.g_rescheduled <- g.g_rescheduled + 1
+    in
+    if Hashtbl.mem dirty e.e_coflow.Coflow.id then rerun ()
+    else if Prt.splice_exact prt e.e_plan.Sunflow.reservations then
+      g.g_spliced <- g.g_spliced + 1
+    else begin
+      if obs then Obs.Registry.incr m_cascades;
+      rerun ()
+    end
+  done
+
+(* deterministic cross-shard resolution: compute the closure of shards
+   reachable from the dirty set through cross-shard footprints, merge
+   the closure's stored plans into one table, run [repair] over the
+   closure's entries in global priority order, then rebuild the
+   affected shard tables from the resulting plans (mirroring cross
+   windows into both endpoint shards). Entries wholly outside the
+   closure share no port with anything the repair may move — a walk of
+   the global order would have spliced them untouched — so skipping
+   them changes nothing. *)
+let resolve_cross g ~obs ~now ~remaining ~is_established ~dirty ~first
+    ~shard_dirty =
+  g.g_sconflicts <- g.g_sconflicts + 1;
+  if obs then Obs.Registry.incr m_sh_conflicts;
+  let t0 = if obs then Obs.Control.now_ns () else 0L in
+  let c = Array.copy shard_dirty in
+  let cross = g.g_cross in
+  (* seed: shards of dirty cross entries *)
+  for i = 0 to cross.v_n - 1 do
+    let e = cross.v_arr.(i) in
+    if Hashtbl.mem dirty e.e_coflow.Coflow.id then
+      Array.iter (fun s -> c.(s) <- true) e.e_shards
+  done;
+  (* fixpoint: any cross entry touching the closure pulls all its
+     shards in — its windows sit on ports the repair may reuse *)
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to cross.v_n - 1 do
+      let e = cross.v_arr.(i) in
+      if
+        Array.exists (fun s -> c.(s)) e.e_shards
+        && not (Array.for_all (fun s -> c.(s)) e.e_shards)
+      then begin
+        Array.iter (fun s -> c.(s) <- true) e.e_shards;
+        changed := true
+      end
+    done
+  done;
+  let in_c e = Array.for_all (fun s -> c.(s)) e.e_shards in
+  let all = g.g_all in
+  (* merged mirror-free table of every in-closure stored plan — the
+     one-table content restricted to the closure's ports *)
+  let merged = Prt.create () in
+  for i = 0 to all.v_n - 1 do
+    let e = all.v_arr.(i) in
+    if in_c e then List.iter (Prt.reserve merged) e.e_plan.Sunflow.reservations
+  done;
+  tally g ~obs
+    (repair g ~prt:merged ~now ~remaining ~is_established ~dirty ~guard:ignore
+       (fun f -> iter_from all first (fun e -> if in_c e then f e)));
+  (* rebuild the affected shard tables from the now-current plans *)
+  for s = 0 to g.g_shards - 1 do
+    if c.(s) then g.g_prt.(s) <- Prt.create ()
+  done;
+  for i = 0 to all.v_n - 1 do
+    let e = all.v_arr.(i) in
+    if in_c e then
+      List.iter
+        (fun r ->
+          let ss = shard_of g r.Prt.src and sd = shard_of g r.Prt.dst in
+          Prt.reserve g.g_prt.(ss) r;
+          if sd <> ss then Prt.reserve g.g_prt.(sd) r)
+        e.e_plan.Sunflow.reservations
+  done;
+  for s = 0 to g.g_shards - 1 do
+    if c.(s) then begin
+      Prt.forget_history g.g_prt.(s);
+      g.g_min_stale.(s) <- true
+    end
+  done;
+  g.g_min_stale.(g.g_shards) <- true;
+  if obs then
+    Obs.Registry.observe h_sh_rollback
+      (Int64.to_float (Int64.sub (Obs.Control.now_ns ()) t0) /. 1e9)
+
+(* optimistic per-shard passes, each from its shard's first dirty entry,
+   falling back to [resolve_cross] on any conflict. A pass reads shared
+   engine state only (g_index, dirty, the established set — all frozen
+   for the event) and mutates only its shard's table and its own
+   entries' plans, so passes are safe to run on separate domains. *)
+let shard_passes g ~obs ~now ~remaining ~is_established ~dirty ~first
+    ~shard_dirty =
+  let guard o = if Array.length o.e_shards > 1 then raise Cross_conflict in
+  let thunks =
+    Array.of_list
+      (List.filter_map
+         (fun s ->
+           if not shard_dirty.(s) then None
+           else
+             let v = g.g_local.(s) in
+             let k = if v == g.g_all then first else first_dirty dirty v in
+             Some
+               (fun () ->
+                 repair g ~prt:g.g_prt.(s) ~now ~remaining ~is_established
+                   ~dirty ~guard (iter_from v k)))
+         (List.init g.g_shards Fun.id))
+  in
+  let outs =
+    if Array.length thunks > 1 then g.g_runner.run_passes thunks
+    else Array.map (fun f -> f ()) thunks
+  in
+  if Array.exists (fun p -> p.p_conflict) outs then begin
+    (* roll back every pass: restore the replaced plans (the shard
+       tables are rebuilt from plans during resolution, so the
+       plan-level undo subsumes any table-level one) *)
+    Array.iter (fun p -> List.iter (fun (e, plan) -> e.e_plan <- plan) p.p_old) outs;
+    g.g_srollbacks <- g.g_srollbacks + Array.length outs;
+    if obs then Obs.Registry.add m_sh_rollbacks (Array.length outs);
+    resolve_cross g ~obs ~now ~remaining ~is_established ~dirty ~first
+      ~shard_dirty
+  end
+  else Array.iter (tally g ~obs) outs
+
+(* One scheduling event. 1. retire finished Coflows; 2. admit arrivals;
+   3. mark what the event invalidated; 4. run the repair — the
+   [rebuild] oracle's own branch, or the shard passes (one pass when
+   there is one shard). *)
+let schedule_incremental g ~now ~arrivals ~finished ~remaining =
   let obs = Obs.Control.enabled () in
   if obs then begin
     Obs.Registry.incr m_rounds;
     Obs.Registry.incr m_steps;
     Obs.Tracer.begin_span ~cat:"core" "inter.step"
   end;
+  let sn = g.g_shards in
+  if sn > 1 then g.g_ssteps <- g.g_ssteps + 1;
   (* 1. retire finished Coflows. Every window of a finished Coflow
      stops at or before its recorded finish <= now, and every table
      query made on behalf of the remaining Coflows is a strict-greater
      successor search at an instant >= now, so the removal is invisible
-     to them: no rescheduling. *)
+     to them: no rescheduling. [e_shards] covers every window's
+     endpoints, so retracting on those tables removes the windows and
+     their mirrors. *)
   List.iter
     (fun id ->
       match Hashtbl.find_opt g.g_index id with
       | None -> invalid_arg "Inter.schedule_incremental: unknown finished id"
       | Some e ->
-        remove_entry g e;
+        retire_entry g e;
         Hashtbl.remove g.g_index id;
-        if not g.g_rebuild then ignore (Prt.retract_coflow g.g_prt id : int))
+        Array.iter
+          (fun s -> ignore (Prt.retract_coflow g.g_prt.(s) id : int))
+          e.e_shards)
     finished;
-  (* 2. admit arrivals at their priority positions *)
+  (* 2. dirty tracking: the dirty set and whether each shard (or the
+     cross vector) holds a dirty entry *)
   let dirty = Hashtbl.create 8 in
   let arrived = Hashtbl.create 8 in
+  let shard_dirty = Array.make sn false in
+  let cross_dirty = ref false in
+  let mark_dirty e =
+    Hashtbl.replace dirty e.e_coflow.Coflow.id ();
+    if Array.length e.e_shards > 1 then cross_dirty := true
+    else shard_dirty.(e.e_shards.(0)) <- true
+  in
+  (* admit arrivals at their priority positions *)
   List.iter
-    (fun c ->
-      if Hashtbl.mem g.g_index c.Coflow.id then
+    (fun cf ->
+      if Hashtbl.mem g.g_index cf.Coflow.id then
         invalid_arg "Inter.schedule_incremental: duplicate Coflow id";
-      let key = entry_key g.g_policy ~bandwidth:g.g_bandwidth c in
+      let key = entry_key g.g_policy ~bandwidth:g.g_bandwidth cf in
       let e =
         {
-          e_coflow = c;
+          e_coflow = cf;
           e_key = key;
           e_bucket =
             bucket_of ~policy:g.g_policy ~buckets:g.g_buckets
               ~bucket_base:g.g_bucket_base ~delta:g.g_delta key;
-          e_shards = [||];
+          e_shards = coflow_shards g cf;
           e_plan = { Sunflow.reservations = []; finish = now; setups = 0 };
         }
       in
-      insert_entry g e;
-      Hashtbl.replace g.g_index c.Coflow.id e;
-      Hashtbl.replace arrived c.Coflow.id ();
-      Hashtbl.replace dirty c.Coflow.id ())
+      admit_entry g e;
+      Hashtbl.replace g.g_index cf.Coflow.id e;
+      Hashtbl.replace arrived cf.Coflow.id ();
+      mark_dirty e)
     arrivals;
   (* 3. further dirty sources. Without carry-over every event restarts
      every circuit (all-stop), so everything is dirty. *)
+  let all = g.g_all in
   if not g.g_carry then
-    for i = 0 to g.g_n - 1 do
-      Hashtbl.replace dirty g.g_entries.(i).e_coflow.Coflow.id ()
+    for i = 0 to all.v_n - 1 do
+      mark_dirty all.v_arr.(i)
     done;
-  (* circuits physically up at [now], read before any rollback (a
-     rolled-back Coflow's transmitting circuit is still up, and its
-     replacement plan may carry it delta-free). Windows of retired
-     Coflows are filtered out in both modes: [rebuild] keeps them in
-     its stale table, the incremental path has already retracted them. *)
+  (* circuits physically up at [now], read before any replanning (a
+     replanned Coflow's transmitting circuit is still up, and its
+     replacement plan may carry it delta-free): the union over shard
+     tables. Mirrors surface twice; [sort_uniq] collapses them, and
+     double-marking a straddler is idempotent. *)
   let covering =
-    List.filter
-      (fun r -> Hashtbl.mem g.g_index r.Prt.coflow)
-      (Prt.covering_at g.g_prt now)
+    let acc = ref [] in
+    for s = 0 to sn - 1 do
+      List.iter
+        (fun r -> if Hashtbl.mem g.g_index r.Prt.coflow then acc := r :: !acc)
+        (Prt.covering_at g.g_prt.(s) now)
+    done;
+    !acc
   in
   g.g_established <-
     (if g.g_carry then
@@ -513,19 +845,29 @@ let step_unsharded g ~now ~arrivals ~finished ~remaining =
       if r.Prt.start +. r.Prt.setup > now then begin
         if obs && not (Hashtbl.mem dirty r.Prt.coflow) then
           Obs.Registry.incr m_straddlers;
-        Hashtbl.replace dirty r.Prt.coflow ()
+        match Hashtbl.find_opt g.g_index r.Prt.coflow with
+        | Some e -> mark_dirty e
+        | None -> ()
       end)
     covering;
   (* defensive: a stored finish at or before [now] with demand left
-     would stall the event loop; re-anchor such plans *)
-  for i = 0 to g.g_n - 1 do
-    let e = g.g_entries.(i) in
-    let id = e.e_coflow.Coflow.id in
-    if
-      e.e_plan.Sunflow.finish <= now
-      && (not (Hashtbl.mem dirty id))
-      && not (Demand.is_empty (remaining id))
-    then Hashtbl.replace dirty id ()
+     would stall the event loop; re-anchor such plans. Pruned by the
+     cached per-vec minimum finish: a vec whose every stored finish is
+     past [now] cannot hold a stale plan. *)
+  for slot = 0 to sn do
+    refresh_min g slot;
+    if g.g_min.(slot) <= now then begin
+      let v = slot_vec g slot in
+      for i = 0 to v.v_n - 1 do
+        let e = v.v_arr.(i) in
+        let id = e.e_coflow.Coflow.id in
+        if
+          e.e_plan.Sunflow.finish <= now
+          && (not (Hashtbl.mem dirty id))
+          && not (Demand.is_empty (remaining id))
+        then mark_dirty e
+      done
+    end
   done;
   (* an arrival poisons the rest of its own bucket: within a bucket the
      order is FIFO, so a retained entry sorting after a new arrival in
@@ -533,677 +875,67 @@ let step_unsharded g ~now ~arrivals ~finished ~remaining =
      policy, where every Coflow shares class 0) — in either case the
      within-class order shifted under the retained plan, so it must be
      re-derived rather than spliced. Entries in strictly later buckets
-     are left clean and handled by splice-or-reschedule below. *)
-  if g.g_buckets > 0 && arrivals <> [] then begin
-    let poisoned = Array.make g.g_buckets false in
-    for i = 0 to g.g_n - 1 do
-      let e = g.g_entries.(i) in
-      let id = e.e_coflow.Coflow.id in
-      if poisoned.(e.e_bucket) then Hashtbl.replace dirty id ()
-      else if Hashtbl.mem arrived id then poisoned.(e.e_bucket) <- true
-    done
-  end;
-  (* 4. the dirty suffix starts at the first dirty position *)
-  let dirty_pos =
-    let p = ref g.g_n in
-    (try
-       for i = 0 to g.g_n - 1 do
-         if Hashtbl.mem dirty g.g_entries.(i).e_coflow.Coflow.id then begin
-           p := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !p
-  in
-  (* 5. bring the table to prefix-only *)
-  if g.g_rebuild then begin
-    (* oracle mode: identical decisions recomputed from scratch — fresh
-       table, re-reserving the retained prefix's stored windows *)
-    g.g_prt <- Prt.create ();
-    for i = 0 to dirty_pos - 1 do
-      List.iter (Prt.reserve g.g_prt)
-        g.g_entries.(i).e_plan.Sunflow.reservations
-    done
-  end
-  else if g.g_buckets = 0 && dirty_pos < g.g_n then
-    (* clear the suffix by ownership rather than by undo-log rollback:
-       the windows removed are exactly the suffix entries' stored
-       reservations either way (prefix windows belong to Coflows
-       sorting before the suffix, which this step never touches), so
-       the table content is identical — but retraction does not need
-       the undo log to survive across steps. A long-running engine
-       that rolled back to per-entry marks had to keep the log for the
-       life of the table, growing it with every reserve and pinning
-       retired Coflows' windows against the GC; see forget_history
-       below. Bucketed engines skip this: they repair the table in
-       place (step 6), touching only the ports the dirty entries'
-       planners can see. *)
-    for i = dirty_pos to g.g_n - 1 do
-      let e = g.g_entries.(i) in
-      if not (Hashtbl.mem arrived e.e_coflow.Coflow.id) then
-        ignore (Prt.retract_coflow g.g_prt e.e_coflow.Coflow.id : int)
-    done;
-  (* 6. re-run Sunflow for the suffix, in priority order, against the
-     retained prefix *)
-  let est_set = Hashtbl.create 16 in
-  List.iter (fun cc -> Hashtbl.replace est_set cc ()) g.g_established;
-  let is_established cc = Hashtbl.mem est_set cc in
-  let reschedule e =
-    let c = Coflow.with_demand e.e_coflow (remaining e.e_coflow.Coflow.id) in
-    e.e_plan <-
-      Sunflow.schedule ~prt:g.g_prt ?cache:g.g_cache ~now ~order:g.g_order
-        ~established:is_established ~delta:g.g_delta ~bandwidth:g.g_bandwidth c;
-    g.g_rescheduled <- g.g_rescheduled + 1
-  in
-  if g.g_rebuild || g.g_buckets = 0 then begin
-    for i = dirty_pos to g.g_n - 1 do
-      let e = g.g_entries.(i) in
-      if g.g_buckets = 0 || Hashtbl.mem dirty e.e_coflow.Coflow.id then
-        reschedule e
-      else begin
-        (* clean entry under a bucketed order (oracle mode): its table
-           prefix may have changed, but only by entries in other
-           classes — splice the stored plan back verbatim when every
-           window still fits with zero overlap, and fall back to a
-           full re-run otherwise. The whole plan is re-derived rather
-           than patched around the surviving windows: a merged plan
-           would break non-preemption (a kept split-window whose
-           blocking neighbour moved ends with demand left and nothing
-           occupying its port) and double-count circuit setups. The
-           fit test must be exact, not [reserve]'s dust-tolerant one:
-           a rescheduled upstream neighbour can land within rounding
-           dust of a stored boundary, and re-admitting that would
-           break the validator's strict per-port disjointness —
-           [Prt.splice_exact] is exactly that check-all-then-reserve-all
-           primitive. *)
-        if Prt.splice_exact g.g_prt e.e_plan.Sunflow.reservations then
-          g.g_spliced <- g.g_spliced + 1
-        else begin
-          if obs then Obs.Registry.incr m_cascades;
-          reschedule e
-        end
-      end
-    done;
-    (* nothing rolls the table back any more (suffix clearing goes
-       through [retract_coflow]) — drop the log so a persistent engine
-       cannot grow it with every reserve for the life of the process.
-       The rebuild oracle skips this: its table is rebuilt from scratch
-       next step anyway. *)
-    if not g.g_rebuild then Prt.forget_history g.g_prt
-  end
-  else begin
-    (* lazy damage-bounded repair (bucketed incremental mode). No
-       rollback: a dirty entry, at its turn in priority order, clears
-       every later-priority window from the ports its planner can
-       touch (the senders/receivers of its remaining demand), recording
-       the evicted windows per owner, then reschedules. An evicted
-       ("touched") clean entry re-admits its evicted windows verbatim
-       at its own turn when they all still fit exactly, and partially
-       re-plans otherwise; a clean entry nobody touched keeps its plan
-       at zero cost. This matches the rebuild oracle's decisions
-       bit-for-bit: [Sunflow.schedule] reads and writes only the ports
-       of the Coflow's own demand ([probe] / [next_release_on_ports]
-       take explicit ports), so each rescheduled entry sees, on every
-       port it queries, exactly the prefix plus already-processed
-       suffix — the rebuild table's content at the same turn. Windows
-       never evicted sit on ports no new window lands on, and the old
-       windows were mutually disjoint, so they'd pass the oracle's fit
-       test unconditionally; evicted windows are tested against table
-       content identical on their ports. The fit-failure sets therefore
-       coincide, and so do the plans. *)
-    let touched : (int, Prt.reservation list ref) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    let ports_cleared : (Prt.port, unit) Hashtbl.t = Hashtbl.create 16 in
-    let clear_demand_ports e d =
-      let clear_port p =
-        if not (Hashtbl.mem ports_cleared p) then begin
-          Hashtbl.replace ports_cleared p ();
-          List.iter
-            (fun r ->
-              match Hashtbl.find_opt g.g_index r.Prt.coflow with
-              | Some o when g.g_cmp e o < 0 ->
-                  (* [remove] is false when the window was already
-                     evicted through its other port — record once *)
-                  if Prt.remove g.g_prt r then begin
-                    let l =
-                      match Hashtbl.find_opt touched r.Prt.coflow with
-                      | Some l -> l
-                      | None ->
-                          let l = ref [] in
-                          Hashtbl.replace touched r.Prt.coflow l;
-                          l
-                    in
-                    l := r :: !l
-                  end
-              | _ -> ())
-            (Prt.port_reservations g.g_prt p)
-        end
-      in
-      List.iter (fun p -> clear_port (Prt.In p)) (Demand.senders d);
-      List.iter (fun p -> clear_port (Prt.Out p)) (Demand.receivers d)
-    in
-    let process e =
-      let id = e.e_coflow.Coflow.id in
-      if Hashtbl.mem dirty id then begin
-        Hashtbl.remove touched id;
-        ignore (Prt.retract_coflow g.g_prt id : int);
-        clear_demand_ports e (remaining id);
-        reschedule e
-      end
-      else
-        match Hashtbl.find_opt touched id with
-        | None -> g.g_spliced <- g.g_spliced + 1
-        | Some l ->
-            Hashtbl.remove touched id;
-            if Prt.splice_exact g.g_prt !l then
-              g.g_spliced <- g.g_spliced + 1
-            else begin
-              if obs then Obs.Registry.incr m_cascades;
-              ignore (Prt.retract_coflow g.g_prt id : int);
-              clear_demand_ports e (remaining id);
-              reschedule e
-            end
-    in
-    for i = dirty_pos to g.g_n - 1 do
-      process g.g_entries.(i)
-    done;
-    (* this engine never rolls back — without this the undo log grows
-       with every reserve for the run's lifetime and pins retired
-       Coflows' windows against the GC *)
-    Prt.forget_history g.g_prt
-  end;
-  if obs then begin
-    Obs.Registry.observe h_batch (float_of_int (g.g_n - dirty_pos));
-    Obs.Tracer.end_span ~cat:"core" "inter.step"
-  end
-
-(* --- sharded stepping (g_shards > 1) ----------------------------------
-
-   Ports are striped over S shards; each shard owns a [Prt] holding
-   every window with an endpoint in the shard (a cross-shard Coflow's
-   window is mirrored into both endpoint shards, so every shard table
-   is complete for its own ports). A Coflow whose whole footprint maps
-   to one shard lives in that shard's entry vector; per event, each
-   shard with dirty entries runs the bucketed lazy repair over its own
-   vector against its own table — [Sunflow.schedule] reads and writes
-   only the ports of the Coflow's own demand (PR 6's footprint-locality
-   argument), and those ports all belong to the shard, so the pass sees
-   exactly the state the unsharded walk would show it, regardless of
-   how passes interleave. The passes are independent (disjoint ports,
-   disjoint entries) and run through [g_runner] — sequentially by
-   default, on a domain pool when one is plugged in.
-
-   Cross-shard Coflows break the independence, so they are handled
-   pessimistically-correct: a pass that would evict a cross-shard
-   owner's window aborts ([Cross_conflict]), every pass of the event is
-   rolled back (stored plans restored; the shard tables are rebuilt
-   from the plans), and the event is re-resolved by one global pass
-   over the closure of affected shards — Time-Warp's optimistic
-   execution with a deterministic arbiter. A dirty cross-shard entry
-   skips the optimistic round entirely. Either way the decisions made
-   are the unsharded engine's, bit for bit. *)
-
-exception Cross_conflict
-
-(* one bucketed lazy-repair pass over some entry sequence against
-   [prt] — the same decision procedure as [step_unsharded]'s bucketed
-   branch, parameterised over the table, with [guard] consulted before
-   any eviction (shard passes raise [Cross_conflict] on a cross-shard
-   owner) and every replaced plan recorded for rollback. [cache] is
-   threaded explicitly rather than read off [g]: a [Plan_cache.t] is
-   single-domain mutable state, so the caller must pass [None] to any
-   pass it may execute concurrently with another. *)
-let make_pass g ~prt ~cache ~now ~remaining ~is_established ~dirty ~guard =
-  let touched : (int, Prt.reservation list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let ports_cleared : (Prt.port, unit) Hashtbl.t = Hashtbl.create 16 in
-  let old_plans = ref [] in
-  let resched = ref 0 and spliced = ref 0 and cascades = ref 0 in
-  let reschedule e =
-    old_plans := (e, e.e_plan) :: !old_plans;
-    let c = Coflow.with_demand e.e_coflow (remaining e.e_coflow.Coflow.id) in
-    e.e_plan <-
-      Sunflow.schedule ~prt ?cache ~now ~order:g.g_order
-        ~established:is_established ~delta:g.g_delta ~bandwidth:g.g_bandwidth c;
-    incr resched
-  in
-  let clear_demand_ports e d =
-    let clear_port p =
-      if not (Hashtbl.mem ports_cleared p) then begin
-        Hashtbl.replace ports_cleared p ();
-        List.iter
-          (fun r ->
-            match Hashtbl.find_opt g.g_index r.Prt.coflow with
-            | Some o when g.g_cmp e o < 0 ->
-              guard o;
-              if Prt.remove prt r then begin
-                let l =
-                  match Hashtbl.find_opt touched r.Prt.coflow with
-                  | Some l -> l
-                  | None ->
-                    let l = ref [] in
-                    Hashtbl.replace touched r.Prt.coflow l;
-                    l
-                in
-                l := r :: !l
-              end
-            | _ -> ())
-          (Prt.port_reservations prt p)
-      end
-    in
-    List.iter (fun p -> clear_port (Prt.In p)) (Demand.senders d);
-    List.iter (fun p -> clear_port (Prt.Out p)) (Demand.receivers d)
-  in
-  let process e =
-    let id = e.e_coflow.Coflow.id in
-    if Hashtbl.mem dirty id then begin
-      Hashtbl.remove touched id;
-      ignore (Prt.retract_coflow prt id : int);
-      clear_demand_ports e (remaining id);
-      reschedule e
-    end
-    else
-      match Hashtbl.find_opt touched id with
-      | None -> incr spliced
-      | Some l ->
-        Hashtbl.remove touched id;
-        if Prt.splice_exact prt !l then incr spliced
-        else begin
-          incr cascades;
-          ignore (Prt.retract_coflow prt id : int);
-          clear_demand_ports e (remaining id);
-          reschedule e
-        end
-  in
-  (process, old_plans, resched, spliced, cascades)
-
-type pass_out =
-  | Pass_ok of (entry * Sunflow.result) list * int * int * int
-      (* replaced plans (for rollback), rescheduled, spliced, cascades *)
-  | Pass_conflict of (entry * Sunflow.result) list
-
-(* optimistic pass over one shard's entries from its first dirty
-   position. Reads shared engine state only (g_index, dirty, the
-   established set — all frozen for the event); mutates only the
-   shard's own table and its own entries' plans, so passes are safe to
-   run on separate domains — provided [cache] is [None] whenever the
-   caller dispatches more than one pass to a runner that may span
-   domains (the plan cache is single-domain state). *)
-let run_shard_pass g ~cache ~now ~remaining ~is_established ~dirty s first =
-  let vec = g.g_slocal.(s) in
-  let guard o = if Array.length o.e_shards > 1 then raise Cross_conflict in
-  let process, old_plans, resched, spliced, cascades =
-    make_pass g ~prt:g.g_sprt.(s) ~cache ~now ~remaining ~is_established
-      ~dirty ~guard
-  in
-  try
-    for i = evec_lower g.g_cmp vec first to vec.v_n - 1 do
-      process vec.v_arr.(i)
-    done;
-    Pass_ok (!old_plans, !resched, !spliced, !cascades)
-  with Cross_conflict -> Pass_conflict !old_plans
-
-(* deterministic cross-shard resolution: compute the closure of shards
-   reachable from the dirty set through cross-shard footprints, merge
-   the closure's stored plans into one table, run the unsharded repair
-   over the closure's entries in global priority order, then rebuild
-   the affected shard tables from the resulting plans (mirroring cross
-   windows into both endpoint shards). Entries wholly outside the
-   closure share no port with anything the repair may move — the
-   unsharded walk would have spliced them untouched — so skipping them
-   changes nothing. *)
-let resolve_cross g ~obs ~now ~remaining ~is_established ~dirty ~min_dirty
-    ~shard_dirty =
-  g.g_sconflicts <- g.g_sconflicts + 1;
-  if obs then Obs.Registry.incr m_sh_conflicts;
-  let t0 = if obs then Obs.Control.now_ns () else 0L in
-  let c = Array.copy shard_dirty in
-  (* seed: shards of dirty cross entries *)
-  for i = 0 to g.g_scross.v_n - 1 do
-    let e = g.g_scross.v_arr.(i) in
-    if Hashtbl.mem dirty e.e_coflow.Coflow.id then
-      Array.iter (fun s -> c.(s) <- true) e.e_shards
-  done;
-  (* fixpoint: any cross entry touching the closure pulls all its
-     shards in — its windows sit on ports the repair may reuse *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to g.g_scross.v_n - 1 do
-      let e = g.g_scross.v_arr.(i) in
-      if
-        Array.exists (fun s -> c.(s)) e.e_shards
-        && not (Array.for_all (fun s -> c.(s)) e.e_shards)
-      then begin
-        Array.iter (fun s -> c.(s) <- true) e.e_shards;
-        changed := true
-      end
-    done
-  done;
-  let in_c e =
-    Array.length e.e_shards > 0 && Array.for_all (fun s -> c.(s)) e.e_shards
-  in
-  (* merged mirror-free table of every in-closure stored plan — the
-     unsharded table's content restricted to the closure's ports *)
-  let merged = Prt.create () in
-  for i = 0 to g.g_n - 1 do
-    let e = g.g_entries.(i) in
-    if in_c e then
-      List.iter (Prt.reserve merged) e.e_plan.Sunflow.reservations
-  done;
-  let process, _old, resched, spliced, cascades =
-    (* single pass on the calling domain: the engine's cache is safe *)
-    make_pass g ~prt:merged ~cache:g.g_cache ~now ~remaining ~is_established
-      ~dirty ~guard:(fun _ -> ())
-  in
-  (match min_dirty with
-  | None -> ()
-  | Some m ->
-    for i = lower_bound g m to g.g_n - 1 do
-      let e = g.g_entries.(i) in
-      if in_c e then process e
-    done);
-  g.g_rescheduled <- g.g_rescheduled + !resched;
-  g.g_spliced <- g.g_spliced + !spliced;
-  if obs && !cascades > 0 then Obs.Registry.add m_cascades !cascades;
-  (* rebuild the affected shard tables from the now-current plans *)
-  for s = 0 to g.g_shards - 1 do
-    if c.(s) then g.g_sprt.(s) <- Prt.create ()
-  done;
-  for i = 0 to g.g_n - 1 do
-    let e = g.g_entries.(i) in
-    if in_c e then
-      List.iter
-        (fun r ->
-          let ss = shard_of g r.Prt.src and sd = shard_of g r.Prt.dst in
-          Prt.reserve g.g_sprt.(ss) r;
-          if sd <> ss then Prt.reserve g.g_sprt.(sd) r)
-        e.e_plan.Sunflow.reservations
-  done;
-  for s = 0 to g.g_shards - 1 do
-    if c.(s) then begin
-      Prt.forget_history g.g_sprt.(s);
-      g.g_smin_stale.(s) <- true
-    end
-  done;
-  g.g_smin_stale.(g.g_shards) <- true;
-  if obs then
-    Obs.Registry.observe h_sh_rollback
-      (Int64.to_float (Int64.sub (Obs.Control.now_ns ()) t0) /. 1e9)
-
-let sharded_step g ~now ~arrivals ~finished ~remaining =
-  let obs = Obs.Control.enabled () in
-  if obs then begin
-    Obs.Registry.incr m_rounds;
-    Obs.Registry.incr m_steps;
-    Obs.Tracer.begin_span ~cat:"core" "inter.step"
-  end;
-  g.g_ssteps <- g.g_ssteps + 1;
-  let sn = g.g_shards in
-  (* 1. retire — as unsharded, plus vector and per-shard table upkeep.
-     [e_shards] covers every window's endpoints, so retracting on those
-     tables removes the windows and their mirrors. *)
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt g.g_index id with
-      | None -> invalid_arg "Inter.schedule_incremental: unknown finished id"
-      | Some e ->
-        remove_entry g e;
-        let v, slot = entry_vec g e in
-        evec_remove g.g_cmp v e;
-        g.g_smin_stale.(slot) <- true;
-        Hashtbl.remove g.g_index id;
-        Array.iter
-          (fun s -> ignore (Prt.retract_coflow g.g_sprt.(s) id : int))
-          e.e_shards)
-    finished;
-  (* 2. dirty tracking: the global dirty set plus, per shard, whether
-     it is dirty and its minimum dirty entry (entries, not positions —
-     positions shift under admission) *)
-  let dirty = Hashtbl.create 8 in
-  let arrived = Hashtbl.create 8 in
-  let shard_dirty = Array.make sn false in
-  let cross_dirty = ref false in
-  let min_dirty = ref None in
-  let s_first = Array.make sn None in
-  let mark_dirty e =
-    let id = e.e_coflow.Coflow.id in
-    if not (Hashtbl.mem dirty id) then begin
-      Hashtbl.replace dirty id ();
-      (match !min_dirty with
-      | Some m when g.g_cmp m e <= 0 -> ()
-      | _ -> min_dirty := Some e);
-      if Array.length e.e_shards > 1 then cross_dirty := true
-      else begin
-        let s = e.e_shards.(0) in
-        shard_dirty.(s) <- true;
-        match s_first.(s) with
-        | Some m when g.g_cmp m e <= 0 -> ()
-        | _ -> s_first.(s) <- Some e
-      end
-    end
-  in
-  (* admit arrivals *)
-  List.iter
-    (fun cf ->
-      if Hashtbl.mem g.g_index cf.Coflow.id then
-        invalid_arg "Inter.schedule_incremental: duplicate Coflow id";
-      let key = entry_key g.g_policy ~bandwidth:g.g_bandwidth cf in
-      let e =
-        {
-          e_coflow = cf;
-          e_key = key;
-          e_bucket =
-            bucket_of ~policy:g.g_policy ~buckets:g.g_buckets
-              ~bucket_base:g.g_bucket_base ~delta:g.g_delta key;
-          e_shards = coflow_shards g cf;
-          e_plan = { Sunflow.reservations = []; finish = now; setups = 0 };
-        }
-      in
-      insert_entry g e;
-      let v, slot = entry_vec g e in
-      evec_insert g.g_cmp v e;
-      g.g_smin_stale.(slot) <- true;
-      Hashtbl.replace g.g_index cf.Coflow.id e;
-      Hashtbl.replace arrived cf.Coflow.id ();
-      mark_dirty e)
-    arrivals;
-  (* 3. further dirty sources — mirror [step_unsharded] exactly *)
-  if not g.g_carry then
-    for i = 0 to g.g_n - 1 do
-      mark_dirty g.g_entries.(i)
-    done;
-  (* circuits physically up at [now]: union over shard tables. Mirrors
-     surface twice; [sort_uniq] collapses them, and double-marking a
-     straddler is idempotent. *)
-  let covering =
-    let acc = ref [] in
-    for s = 0 to sn - 1 do
-      List.iter
-        (fun r -> if Hashtbl.mem g.g_index r.Prt.coflow then acc := r :: !acc)
-        (Prt.covering_at g.g_sprt.(s) now)
-    done;
-    !acc
-  in
-  g.g_established <-
-    (if g.g_carry then
-       covering
-       |> List.filter_map (fun r ->
-              if r.Prt.start +. r.Prt.setup <= now then
-                Some (r.Prt.src, r.Prt.dst)
-              else None)
-       |> List.sort_uniq compare
-     else []);
-  List.iter
-    (fun r ->
-      if r.Prt.start +. r.Prt.setup > now then begin
-        if obs && not (Hashtbl.mem dirty r.Prt.coflow) then
-          Obs.Registry.incr m_straddlers;
-        match Hashtbl.find_opt g.g_index r.Prt.coflow with
-        | Some e -> mark_dirty e
-        | None -> ()
-      end)
-    covering;
-  (* defensive stale-finish scan, pruned by the cached per-vec minimum
-     finish: a vec whose every stored finish is past [now] cannot hold
-     a stale plan *)
-  let scan_stale v =
-    for i = 0 to v.v_n - 1 do
-      let e = v.v_arr.(i) in
-      let id = e.e_coflow.Coflow.id in
-      if
-        e.e_plan.Sunflow.finish <= now
-        && (not (Hashtbl.mem dirty id))
-        && not (Demand.is_empty (remaining id))
-      then mark_dirty e
-    done
-  in
-  for s = 0 to sn - 1 do
-    refresh_smin g s g.g_slocal.(s);
-    if g.g_smin.(s) <= now then scan_stale g.g_slocal.(s)
-  done;
-  refresh_smin g sn g.g_scross;
-  if g.g_smin.(sn) <= now then scan_stale g.g_scross;
-  (* bucket poisoning: an arrival with a same-class successor shifted
-     the within-class FIFO under retained plans. Buckets are contiguous
-     runs of the service order (the comparator sorts on the class
-     first; classless policies share one class), so "some retained
-     entry sorts after an arrival in its class" is equivalent to "some
+     are left clean for the repair's splice-or-reschedule. Buckets are
+     contiguous runs of the service order, so "some retained entry
+     sorts after an arrival in its class" is equivalent to "some
      arrival's immediate successor shares its class" — check that in
-     O(arrivals log n) and fall back to the unsharded scan only when it
-     triggers *)
+     O(arrivals log n) and scan only when it triggers. *)
   if g.g_buckets > 0 && arrivals <> [] then begin
-    let trigger = ref false in
-    List.iter
-      (fun cf ->
-        if not !trigger then begin
+    let trigger =
+      List.exists
+        (fun cf ->
           let e = Hashtbl.find g.g_index cf.Coflow.id in
-          let k = lower_bound g e in
-          if k + 1 < g.g_n && g.g_entries.(k + 1).e_bucket = e.e_bucket then
-            trigger := true
-        end)
-      arrivals;
-    if !trigger then begin
+          let k = lower_bound g.g_cmp all e in
+          k + 1 < all.v_n && all.v_arr.(k + 1).e_bucket = e.e_bucket)
+        arrivals
+    in
+    if trigger then begin
       let poisoned = Array.make g.g_buckets false in
-      for i = 0 to g.g_n - 1 do
-        let e = g.g_entries.(i) in
+      for i = 0 to all.v_n - 1 do
+        let e = all.v_arr.(i) in
         if poisoned.(e.e_bucket) then mark_dirty e
         else if Hashtbl.mem arrived e.e_coflow.Coflow.id then
           poisoned.(e.e_bucket) <- true
       done
     end
   end;
-  (* exact order: [step_unsharded] reschedules the whole suffix from
-     the first dirty position (anchored plans re-round at the ulp scale
-     if re-derived at a different [now], so clean suffix entries cannot
-     be skipped without diverging from the oracle) — mark it all dirty
-     and let the same machinery run it *)
-  if g.g_buckets = 0 then begin
-    match !min_dirty with
-    | None -> ()
-    | Some m ->
-      for i = lower_bound g m to g.g_n - 1 do
-        mark_dirty g.g_entries.(i)
-      done
-  end;
-  (* 4. schedule: optimistic per-shard passes, falling back to the
-     deterministic cross-shard pass on any conflict *)
-  if Hashtbl.length dirty > 0 then begin
+  (* 4. repair from the first dirty position; under the exact order the
+     whole suffix from there is re-run (see [repair]) *)
+  let first = first_dirty dirty all in
+  if g.g_buckets = 0 then iter_from all first mark_dirty;
+  if first < all.v_n then begin
     let est_set = Hashtbl.create 16 in
     List.iter (fun cc -> Hashtbl.replace est_set cc ()) g.g_established;
     let is_established cc = Hashtbl.mem est_set cc in
-    if obs then begin
+    if obs && sn > 1 then begin
       let nd = ref (if !cross_dirty then 1 else 0) in
       Array.iter (fun d -> if d then incr nd) shard_dirty;
       Obs.Registry.add m_sh_dirty !nd
     end;
-    if !cross_dirty then
+    if g.g_rebuild then
+      rebuild g ~obs ~now ~remaining ~is_established ~dirty first
+    else if !cross_dirty then
       (* a dirty cross-shard Coflow makes the conflict certain — skip
          the optimistic round (nothing to roll back) *)
-      resolve_cross g ~obs ~now ~remaining ~is_established ~dirty
-        ~min_dirty:!min_dirty ~shard_dirty
-    else begin
-      let targets = ref [] in
-      for s = sn - 1 downto 0 do
-        match s_first.(s) with
-        | Some m -> targets := (s, m) :: !targets
-        | None -> ()
-      done;
-      (* the plan cache is single-domain mutable state (plain Hashtbl +
-         Queue): when more than one pass goes through a runner that may
-         execute them on separate domains, the passes run uncached —
-         sharing the handle would race its table and counters. The
-         default [sequential_runner] keeps the cache (it runs the
-         thunks on the calling domain), as does a single-pass round;
-         decisions are bit-identical either way, the skipped round just
-         neither consults nor refreshes the entries. *)
-      let cache =
-        if
-          g.g_runner == sequential_runner
-          || List.compare_length_with !targets 1 <= 0
-        then g.g_cache
-        else None
-      in
-      let thunks =
-        Array.of_list
-          (List.map
-             (fun (s, m) () ->
-               run_shard_pass g ~cache ~now ~remaining ~is_established ~dirty
-                 s m)
-             !targets)
-      in
-      let outs =
-        if Array.length thunks > 1 then g.g_runner.run_passes thunks
-        else Array.map (fun f -> f ()) thunks
-      in
-      let conflicted =
-        Array.exists (function Pass_conflict _ -> true | _ -> false) outs
-      in
-      if conflicted then begin
-        (* roll back every pass: restore the replaced plans (the shard
-           tables are rebuilt from plans during resolution, so the
-           plan-level undo subsumes any table-level one) *)
-        Array.iter
-          (function
-            | Pass_ok (old, _, _, _) | Pass_conflict old ->
-              List.iter (fun (e, p) -> e.e_plan <- p) old)
-          outs;
-        g.g_srollbacks <- g.g_srollbacks + Array.length outs;
-        if obs then Obs.Registry.add m_sh_rollbacks (Array.length outs);
-        resolve_cross g ~obs ~now ~remaining ~is_established ~dirty
-          ~min_dirty:!min_dirty ~shard_dirty
+      resolve_cross g ~obs ~now ~remaining ~is_established ~dirty ~first
+        ~shard_dirty
+    else
+      shard_passes g ~obs ~now ~remaining ~is_established ~dirty ~first
+        ~shard_dirty;
+    (* no step rolls a table back — drop the undo logs so a persistent
+       engine cannot grow them with every reserve and pin retired
+       Coflows' windows against the GC *)
+    for s = 0 to sn - 1 do
+      if shard_dirty.(s) then begin
+        Prt.forget_history g.g_prt.(s);
+        g.g_min_stale.(s) <- true
       end
-      else begin
-        Array.iter
-          (function
-            | Pass_ok (_, r, sp, ca) ->
-              g.g_rescheduled <- g.g_rescheduled + r;
-              g.g_spliced <- g.g_spliced + sp;
-              if obs && ca > 0 then Obs.Registry.add m_cascades ca
-            | Pass_conflict _ -> ())
-          outs;
-        for s = 0 to sn - 1 do
-          if shard_dirty.(s) then begin
-            (* the pass never rolls the table back — drop the journal
-               so it cannot pin retired windows *)
-            Prt.forget_history g.g_sprt.(s);
-            g.g_smin_stale.(s) <- true
-          end
-        done
-      end
-    end
+    done
   end;
   if obs then begin
     Obs.Registry.observe h_batch (float_of_int (Hashtbl.length dirty));
     Obs.Tracer.end_span ~cat:"core" "inter.step"
   end
-
-let schedule_incremental g ~now ~arrivals ~finished ~remaining =
-  if g.g_shards > 1 then sharded_step g ~now ~arrivals ~finished ~remaining
-  else step_unsharded g ~now ~arrivals ~finished ~remaining
 
 (* windows overlapping [t0, t1), straddlers clipped to start at [t0].
    After a [schedule_incremental] at [t0] no straddler is mid-setup
@@ -1231,11 +963,11 @@ let engine_slice g ~t0 ~t1 =
   if g.g_shards > 1 then
     (* union over shard tables; a cross-shard window appears in both
        endpoint shards and [sort_uniq] keeps one copy *)
-    Array.to_list g.g_sprt
+    Array.to_list g.g_prt
     |> List.concat_map (fun prt -> Prt.reservations_in prt t0 t1)
     |> List.sort_uniq window_order
     |> List.map (clip_from t0)
-  else List.map (clip_from t0) (Prt.reservations_in g.g_prt t0 t1)
+  else List.map (clip_from t0) (Prt.reservations_in g.g_prt.(0) t0 t1)
 
 (* materialise the persistent plan as a [result] equivalent to what a
    from-scratch replan at [now] would describe, for the validation
@@ -1246,8 +978,8 @@ let engine_slice g ~t0 ~t1 =
 let engine_view g ~now ~remaining =
   let per_coflow =
     let acc = ref [] in
-    for i = g.g_n - 1 downto 0 do
-      let e = g.g_entries.(i) in
+    for i = g.g_all.v_n - 1 downto 0 do
+      let e = g.g_all.v_arr.(i) in
       let id = e.e_coflow.Coflow.id in
       let rem = remaining id in
       let kept =

@@ -41,7 +41,6 @@ val schedule :
   ?now:float ->
   ?order:Order.t ->
   ?established:(int * int) list ->
-  ?plan_cache:Plan_cache.t ->
   policy:policy ->
   delta:float ->
   bandwidth:float ->
@@ -52,9 +51,7 @@ val schedule :
     [established] lists circuits physically up at [now]; any Coflow's
     first reservation on such a circuit starting exactly at [now] pays
     no reconfiguration delay. Coflows with empty demand get an empty
-    plan finishing at [now]. [plan_cache] threads a {!Plan_cache}
-    handle into every intra-Coflow [Sunflow.schedule] call; results
-    are bit-identical with or without it. Raises [Invalid_argument]
+    plan finishing at [now]. Raises [Invalid_argument]
     on duplicate Coflow ids — {!finish_of} keys on ids, so duplicates
     would silently shadow one another. *)
 
@@ -79,7 +76,7 @@ val finish_of : result -> int -> float option
     re-rounds every boundary at each event. The engine's bit-exact
     oracle is therefore its own [rebuild] mode, which makes the same
     decisions while reconstructing the table from scratch at every
-    event instead of rolling back. *)
+    event instead of carrying it across events. *)
 
 type engine
 
@@ -110,7 +107,6 @@ val engine :
   ?shards:int ->
   ?shard_block:int ->
   ?runner:pass_runner ->
-  ?plan_cache:Plan_cache.t ->
   policy:policy ->
   delta:float ->
   bandwidth:float ->
@@ -140,33 +136,20 @@ val engine :
     exact order is measured (and gated) in the bench harness.
     Raises [Invalid_argument] if [buckets < 0] or [bucket_base <= 1.].
 
-    [shards] (default [1] = the unsharded engine, byte-for-byte the
-    previous behaviour) stripes the fabric's ports over that many
-    shards in contiguous [shard_block]-wide blocks (default [1];
-    set it to the pod size to align shards with pods). Each shard owns
-    its own reservation table and entry vector; an event replans each
+    [shards] (default [1]) stripes the fabric's ports over that many
+    shards in contiguous [shard_block]-wide blocks (default [1]; set
+    it to the pod size to align shards with pods). Each shard owns its
+    own reservation table and entry vector; an event replans each
     dirty shard independently — through [runner], so a domain pool can
     execute the passes concurrently — and falls back to one
-    deterministic global pass whenever a cross-shard Coflow is
-    involved, after rolling the optimistic passes back. Decisions are
-    bit-identical to [shards = 1] for every shard count; [rebuild]
+    deterministic pass over the affected shards whenever a cross-shard
+    Coflow is involved, after rolling the optimistic passes back. One
+    shard is the same step with a single pass: its entry vector is the
+    global service order and its table the engine's only table.
+    Decisions are bit-identical for every shard count; [rebuild]
     coerces [shards] to [1] (the from-scratch oracle is inherently
     global). Raises [Invalid_argument] if [shards < 1] or
-    [shard_block < 1].
-
-    [plan_cache] threads a {!Plan_cache} handle into the
-    [Sunflow.schedule] calls the engine makes on the calling domain:
-    every unsharded stepping mode, the rebuild oracle, the sharded
-    cross-shard resolution pass, and optimistic shard passes that run
-    sequentially (the default {!sequential_runner}, or a round with a
-    single dirty shard). A round that dispatches several passes
-    through a non-default [runner] — which may execute them on
-    separate domains — runs those passes uncached: the handle is
-    single-domain mutable state and must not be shared across domains.
-    Decisions are bit-identical with or without the cache; a handle
-    shared across repeated replays of the same workload turns the
-    repeated replans into verbatim window replays. Default: no
-    cache. *)
+    [shard_block < 1]. *)
 
 val schedule_incremental :
   engine ->
@@ -181,7 +164,10 @@ val schedule_incremental :
     [now], on the remaining demand reported by [remaining] — for
     exactly the Coflows whose plans the event invalidated: everything
     from the first arrival's position on, plus any Coflow whose
-    reservation was mid-reconfiguration at [now]. Under a bucketed
+    reservation was mid-reconfiguration at [now]. Every configuration
+    (any shard count, exact or bucketed order) runs the same
+    retire / admit / mark / repair step; [rebuild] differs only in its
+    repair, which rebuilds a fresh table from the retained prefix. Under a bucketed
     order ([buckets > 0]) the repair is damage-bounded: a dirty Coflow
     evicts later-priority windows only from the ports its own demand
     touches before re-running, an evicted clean Coflow re-admits its
@@ -228,13 +214,11 @@ val engine_shards : engine -> int
 
 val engine_journal_length : engine -> int
 (** Total undo-log length across the engine's reservation tables.
-    Every steady-state stepping mode drops its log at the end of each
-    step (the exact order clears invalidated suffixes through
-    {!Prt.retract_coflow}, the bucketed and sharded repairs never roll
-    back), so between steps this is [0] for incremental engines and
-    bounded by one step's reserves during one — the serving loop's
-    soak test pins that down. The rebuild oracle reports its current
-    from-scratch table's log, bounded by the active plan. *)
+    The step never rolls a table back (the exact order clears
+    invalidated suffixes through {!Prt.retract_coflow}, the bucketed
+    repair evicts window by window) and drops the log at its end, so
+    between steps this is [0] for every engine, the rebuild oracle
+    included — the serving loop's soak test pins that down. *)
 
 val engine_shard_stats : engine -> shard_stats
 (** Cumulative sharded-path statistics; all zero when [shards = 1]. *)

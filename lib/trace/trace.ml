@@ -32,6 +32,8 @@ let parse_coflow ~n_ports ~line toks =
   | id :: arrival_ms :: n_mappers :: rest ->
     let id = int_tok line id in
     let arrival = float_tok line arrival_ms /. 1e3 in
+    if not (Float.is_finite arrival) then
+      fail line "non-finite arrival time %S" arrival_ms;
     if arrival < 0. then fail line "negative arrival time";
     let n_mappers = int_tok line n_mappers in
     if n_mappers <= 0 then fail line "coflow %d has no mappers" id;
@@ -61,9 +63,17 @@ let parse_coflow ~n_ports ~line toks =
             let rack = int_tok line rack in
             check_rack rack;
             let size = Units.mb (float_tok line size_mb) in
+            if not (Float.is_finite size) then
+              fail line "coflow %d: non-finite size %S" id tok;
             if size <= 0. then fail line "coflow %d: non-positive size %S" id tok;
             let share = size /. float_of_int n_mappers in
-            List.iter (fun m -> Demand.add demand m rack share) mappers
+            List.iter
+              (fun m ->
+                (* a reducer listed twice can still sum past max_float *)
+                try Demand.add demand m rack share
+                with Invalid_argument _ ->
+                  fail line "coflow %d: size overflows at reducer %S" id tok)
+              mappers
           | _ -> fail line "coflow %d: malformed reducer %S" id tok)
         rest;
       Coflow.make ~id ~arrival demand

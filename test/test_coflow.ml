@@ -49,7 +49,13 @@ let test_compare_arrival () =
 let test_make_validation () =
   Alcotest.check_raises "negative arrival"
     (Invalid_argument "Coflow.make: negative arrival time") (fun () ->
-      ignore (Coflow.make ~id:0 ~arrival:(-1.) (Demand.create ())))
+      ignore (Coflow.make ~id:0 ~arrival:(-1.) (Demand.create ())));
+  List.iter
+    (fun arrival ->
+      Alcotest.check_raises "non-finite arrival"
+        (Invalid_argument "Coflow.make: non-finite arrival time") (fun () ->
+          ignore (Coflow.make ~id:0 ~arrival (Demand.create ()))))
+    [ Float.nan; infinity; neg_infinity ]
 
 let test_with_demand () =
   let c = mk [ ((0, 1), 4.) ] in

@@ -16,7 +16,21 @@ let test_get_set () =
   checkf "zero removes" 0. (Demand.get d 3 4);
   Alcotest.(check int) "empty again" 0 (Demand.n_flows d);
   Alcotest.check_raises "negative port" (Invalid_argument "Demand: negative port id")
-    (fun () -> Demand.set d (-1) 0 1.)
+    (fun () -> Demand.set d (-1) 0 1.);
+  let non_finite = Invalid_argument "Demand: non-finite byte count" in
+  List.iter
+    (fun v ->
+      Alcotest.check_raises "set non-finite" non_finite (fun () ->
+          Demand.set d 0 1 v);
+      Alcotest.check_raises "add non-finite" non_finite (fun () ->
+          Demand.add d 0 1 v);
+      Alcotest.check_raises "of_list non-finite" non_finite (fun () ->
+          ignore (Demand.of_list [ ((0, 1), v) ] : Demand.t)))
+    [ Float.nan; infinity; neg_infinity ];
+  Demand.set d 0 1 Float.max_float;
+  Alcotest.check_raises "add overflowing to infinity" non_finite (fun () ->
+      Demand.add d 0 1 Float.max_float);
+  checkf "failed add leaves the entry" Float.max_float (Demand.get d 0 1)
 
 let test_of_list_accumulates () =
   let d = Demand.of_list [ ((1, 2), 3.); ((1, 2), 4.); ((0, 0), -5.) ] in

@@ -191,6 +191,34 @@ let test_reject_reasons () =
   Alcotest.(check int) "rejected" 2 stats.Serve.rejected;
   Alcotest.(check int) "completed" 2 stats.Serve.completed
 
+(* --- a NaN arrival ends the stream in an error, not a hang: the
+   trace reader refuses the token at its line, and a record built
+   around [Coflow.make] is refused by the loop itself. [stop] bounds
+   the events, so a regression fails the test instead of hanging it. *)
+
+let test_nan_arrival_errors () =
+  let bounded () =
+    let polls = ref 0 in
+    fun () ->
+      incr polls;
+      !polls > 10_000
+  in
+  let serve next = Serve.run ~stop:(bounded ()) ~delta ~bandwidth:b next in
+  let path = Filename.temp_file "sunflow_nan" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "2 2\n1 10 1 0 1 1:5\n2 nan 1 1 1 0:5\n");
+      In_channel.with_open_text path (fun ic ->
+          match serve (Trace.reader ic) with
+          | exception Trace.Parse_error e ->
+            Alcotest.(check int) "reader error at the NaN line" 3 e.line
+          | _ -> Alcotest.fail "a NaN arrival in the trace was served"));
+  let ok = Coflow.make ~id:0 ~arrival:0.01 (Demand.of_list [ ((0, 1), 1e6) ]) in
+  let nan = { ok with Coflow.id = 1; arrival = Float.nan } in
+  Alcotest.check_raises "loop refuses a NaN arrival"
+    (Invalid_argument "Serve.run: non-finite arrival time") (fun () ->
+      ignore (serve (stream_of_list [ ok; nan ]) : Serve.stats))
+
 (* --- the admitted subset of a deadline-mode run passes the full
    conservation check: every admitted byte is delivered, finishes and
    ccts consistent --- *)
@@ -239,6 +267,8 @@ let suite =
     Alcotest.test_case "retired demand is collectable" `Quick
       test_retired_demand_collectable;
     Alcotest.test_case "typed reject reasons" `Quick test_reject_reasons;
+    Alcotest.test_case "NaN arrival ends in an error" `Quick
+      test_nan_arrival_errors;
     Alcotest.test_case "conservation on the admitted subset" `Quick
       test_conservation_on_admitted_subset;
   ]

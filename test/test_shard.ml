@@ -1,8 +1,9 @@
 (* The sharded simulation core (per-shard PRTs, optimistic passes,
-   conflict rollback) against the sequential engine: Sim_results
-   bit-identical across shard counts on a policy x bucket grid and on
-   randomized traces, conflict/rollback accounting on hand-built
-   traces that force each path, and the argument validation. *)
+   conflict rollback) against the from-scratch rebuild oracle:
+   Sim_results bit-identical across shard counts on a policy x bucket
+   grid and on randomized traces, conflict/rollback accounting on
+   hand-built traces that force each path, and the argument
+   validation. *)
 
 module Coflow = Sunflow_core.Coflow
 module Demand = Sunflow_core.Demand
@@ -49,7 +50,12 @@ let test_identity_grid () =
           List.iter
             (fun seed ->
               let trace = trace_of_seed seed in
-              let base = run ~policy ~buckets ~shards:1 trace in
+              (* the from-scratch oracle, not a one-shard incremental
+                 run: the incremental engine is the same step at every
+                 shard count, so only [`Rebuild] is independent of it *)
+              let base =
+                run ~policy ~replan:`Rebuild ~buckets ~shards:1 trace
+              in
               List.iter
                 (fun shards ->
                   List.iter
@@ -63,7 +69,7 @@ let test_identity_grid () =
                            buckets seed shards shard_block)
                         true (r = base))
                     [ 1; 2 ])
-                [ 2; 4; 8 ])
+                [ 1; 2; 4; 8 ])
             [ 301; 302 ])
         [ 0; 4 ])
     policies
@@ -232,21 +238,17 @@ let test_timeline_identical_under_shards () =
       Alcotest.(check bool) (label "sampler port ledger") true (p = p1))
     [ 2; 4; 8 ]
 
-(* --- plan cache under a multi-domain runner --- *)
+(* --- the sharded step under a multi-domain runner --- *)
 
-module Plan_cache = Sunflow_core.Plan_cache
 module Pool = Sunflow_parallel.Pool
 
 (* Same-instant arrivals in distinct stripes make the optimistic round
-   dispatch several passes at once through the domain-pool runner. A
-   shared Plan_cache.t is single-domain state, so those rounds must run
-   uncached (the engine drops the handle for them) while the
-   single-pass and cross-shard rounds keep it — either way every
-   decision stays bit-identical to the unsharded cached run. Forcing a
-   4-domain pool makes the runner genuinely parallel even on a 1-core
-   machine, so a reintroduced shared-handle race is at least exposed to
-   the memory model rather than hidden by a sequential fallback. *)
-let test_cache_under_parallel_runner () =
+   dispatch several passes at once through the domain-pool runner.
+   Forcing a 4-domain pool makes the runner genuinely parallel even on
+   a 1-core machine, so a pass that reached outside its own shard's
+   state would at least be exposed to the memory model; the decisions
+   must stay bit-identical to the one-shard run. *)
+let test_parallel_runner () =
   let trace =
     List.concat
       (List.init 3 (fun wave ->
@@ -263,20 +265,9 @@ let test_cache_under_parallel_runner () =
   let base = run ~buckets:4 ~shards:1 trace in
   Pool.set_jobs (Some 4);
   Fun.protect ~finally:(fun () -> Pool.set_jobs None) @@ fun () ->
-  let cache = Plan_cache.create () in
-  let sharded ?plan_cache () =
-    Circuit_sim.run ~policy:Inter.Shortest_first ~replan:`Incremental
-      ~buckets:4 ~shards:4 ~shard_block:4 ?plan_cache ~delta ~bandwidth trace
-  in
   Alcotest.(check bool)
-    "cold cached parallel run bit-identical" true
-    (sharded ~plan_cache:cache () = base);
-  Alcotest.(check bool)
-    "warm cached parallel run bit-identical" true
-    (sharded ~plan_cache:cache () = base);
-  Alcotest.(check bool)
-    "uncached parallel run bit-identical" true
-    (sharded () = base)
+    "parallel run bit-identical" true
+    (run ~buckets:4 ~shards:4 ~shard_block:4 trace = base)
 
 (* --- argument validation --- *)
 
@@ -299,11 +290,22 @@ let prop_equiv_sharded =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:30
        ~name:"sharded incremental == unsharded rebuild (random)"
-       QCheck.(triple small_nat (int_bound 2) (int_bound 12))
-       (fun (seed, shard_ix, buckets) ->
-         let shards = [| 2; 4; 8 |].(shard_ix) in
+       QCheck.(quad small_nat (int_bound 3) (int_bound 12) (int_bound 2))
+       (fun (seed, shard_ix, buckets, policy_ix) ->
+         let shards = [| 1; 2; 4; 8 |].(shard_ix) in
+         (* FIFO and [Custom] run at [buckets = 0]: the exact-order
+            path deadline admission takes *)
+         let policy, buckets =
+           match policy_ix with
+           | 0 -> (Inter.Shortest_first, buckets)
+           | 1 -> (Inter.Fifo, 0)
+           | _ ->
+             ( Inter.Custom
+                 (fun a b -> compare (b.Coflow.id mod 3) (a.Coflow.id mod 3)),
+               0 )
+         in
          let trace = trace_of_seed (30_000 + seed) in
-         Plan_check.replay_equiv ~policy:Inter.Shortest_first ~shards
+         Plan_check.replay_equiv ~policy ~shards
            ~shard_block:(1 + (seed mod 2))
            ~buckets ~delta ~bandwidth trace
          = []))
@@ -325,8 +327,8 @@ let suite =
       test_pod_trace_identity;
     Alcotest.test_case "timeline event-for-event identical under shards"
       `Quick test_timeline_identical_under_shards;
-    Alcotest.test_case "plan cache under a multi-domain runner" `Quick
-      test_cache_under_parallel_runner;
+    Alcotest.test_case "parallel runner bit-identical" `Quick
+      test_parallel_runner;
     Alcotest.test_case "argument validation" `Quick test_validation;
     prop_equiv_sharded;
   ]

@@ -44,12 +44,20 @@ let test_parse_errors () =
   expect_error ~line:2 "10 1\n0 0 1 99 1 1:5\n";
   (* malformed reducer *)
   expect_error ~line:2 "10 1\n0 0 1 0 1 15\n";
-  (* non-positive size *)
-  expect_error ~line:2 "10 1\n0 0 1 0 1 1:0\n";
+  (* non-positive and non-finite sizes (1e308 MB only overflows after
+     the conversion to bytes) *)
+  List.iter
+    (fun size -> expect_error ~line:2 ("10 1\n0 0 1 0 1 1:" ^ size ^ "\n"))
+    [ "0"; "nan"; "inf"; "-inf"; "1e308" ];
+  (* a reducer listed twice whose sizes sum past max_float *)
+  expect_error ~line:2 "10 1\n0 0 1 0 2 1:1e302 1:1e302\n";
   (* truncated mapper list *)
   expect_error ~line:2 "10 1\n0 0 3 1 2\n";
-  (* negative arrival *)
-  expect_error ~line:2 "10 1\n0 -5 1 0 1 1:5\n";
+  (* negative and non-finite arrivals *)
+  List.iter
+    (fun arrival ->
+      expect_error ~line:2 ("10 1\n0 " ^ arrival ^ " 1 0 1 1:5\n"))
+    [ "-5"; "nan"; "inf"; "-inf" ];
   (* duplicate Coflow id: the second occurrence is the offender *)
   expect_error ~line:3 "10 2\n0 0 1 0 1 1:5\n0 5 1 0 1 1:5\n"
 
